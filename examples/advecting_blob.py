@@ -50,7 +50,7 @@ def main() -> None:
     mpi = SimMPI(1)
     bx = BoundaryExchange(mesh, mpi)
     fc = FluxCorrection(mesh, mpi)
-    fc.set_neighbor_table(bx.neighbor_table)
+    fc.set_links(bx.links)
     policy = RefinementPolicy(
         SecondDerivativeCriterion(ADVECTED, refine_tol=0.7, derefine_tol=0.3),
         derefine_gap=3,
@@ -68,7 +68,7 @@ def main() -> None:
         if refine or derefine:
             mesh.remesh(refine, derefine)
             bx.rebuild()
-            fc.set_neighbor_table(bx.neighbor_table)
+            fc.set_links(bx.links)
             policy.forget_stale(mesh)
         if cycle % 12 == 0 or cycle == 24:
             print(f"\n=== cycle {cycle + 1}: {mesh.num_blocks} blocks, "

@@ -8,13 +8,21 @@ that records every message, collective, and buffer registration for the
 platform cost models.
 """
 
-from repro.comm.topology import NeighborInfo, neighbors_of_block, build_neighbor_table
+from repro.comm.topology import (
+    NeighborInfo,
+    NeighborLinks,
+    build_links,
+    build_neighbor_table,
+    neighbors_of_block,
+)
 from repro.comm.mpi import SimMPI
 from repro.comm.bvals import BoundaryExchange, ExchangeStats
 from repro.comm.flux_correction import FluxCorrection
 
 __all__ = [
     "NeighborInfo",
+    "NeighborLinks",
+    "build_links",
     "neighbors_of_block",
     "build_neighbor_table",
     "SimMPI",

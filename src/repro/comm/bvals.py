@@ -20,6 +20,7 @@ built in (comp, x3, x2, x1) order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -33,7 +34,12 @@ from repro.comm.buffers import (
     GhostBufferPool,
 )
 from repro.comm.mpi import SimMPI
-from repro.comm.topology import NeighborInfo, build_neighbor_table
+from repro.comm.topology import (
+    NeighborInfo,
+    NeighborLinks,
+    build_links,
+    neighbor_table_from_links,
+)
 from repro.mesh.block import MeshBlock
 from repro.mesh.logical_location import LogicalLocation
 from repro.mesh.mesh import Mesh
@@ -178,6 +184,27 @@ def _message_geometry(
     return tuple(send), tuple(recv), delta == -1, delta == 1
 
 
+@lru_cache(maxsize=None)
+def link_cells_table(
+    nx: Tuple[int, int, int], ng: int, ndim: int
+) -> np.ndarray:
+    """Cells each link transmits, indexed ``[offset_id, delta + 1]``.
+
+    The receive extent depends only on the offset and the level delta
+    (parities move a range, never resize it), so one small table prices
+    every link of a rebuild.
+    """
+    offsets = neighbor_offsets(ndim)
+    table = np.zeros((len(offsets), 3), dtype=np.int64)
+    for i, offset in enumerate(offsets):
+        for delta in (-1, 0, 1):
+            _, recv, _, _ = _message_geometry(
+                nx, ng, ndim, offset, delta, (0, 0, 0), (0, 0, 0)
+            )
+            table[i, delta + 1] = math.prod(hi - lo for lo, hi in recv)
+    return table
+
+
 def prolong_ranges(
     nx: Tuple[int, int, int], ng: int, ndim: int, offset: Offset
 ) -> Tuple[Tuple[Range, Range, Range], Tuple[Range, Range, Range]]:
@@ -280,6 +307,7 @@ class BoundaryExchange:
         self.metrics = metrics
         self.cache = BufferCache(seed=cache_seed)
         self.pool = GhostBufferPool()
+        #: Per-block neighbor lists; numeric mode only (empty when modeled).
         self.neighbor_table: Dict[LogicalLocation, List[NeighborInfo]] = {}
         self._specs: Dict[LogicalLocation, List[MessageSpec]] = {}
         self._inflight: Dict[BufferKey, Tuple[MessageSpec, Optional[dict]]] = {}
@@ -292,18 +320,24 @@ class BoundaryExchange:
         return sum(s.ncomp for s in self.mesh.field_specs)
 
     def rebuild(self) -> RebuildStats:
-        """Recompute neighbor lists, message specs, and the buffer cache.
+        """Recompute neighbor links, message specs, and the buffer cache.
 
         Must be called after every remesh or load-balance — this is the
         ``BuildTagMapAndBoundaryBuffers`` + ``SetMeshBlockNeighbors`` work
-        Section II-E describes.  The modeled execution mode takes an
-        aggregate path: identical counts and traffic, no per-link Python
-        objects (the meshes there reach hundreds of thousands of links).
+        Section II-E describes.  The links are resolved once, as arrays
+        (:func:`build_links`).  The modeled execution mode reduces them
+        with array arithmetic: identical counts and traffic, no per-link
+        Python objects (the meshes there reach hundreds of thousands of
+        links).  Numeric mode expands them into per-block lists.
         """
-        self.neighbor_table = build_neighbor_table(self.mesh)
+        #: The mesh's neighbor links as flat arrays; :class:`FluxCorrection`
+        #: reads the same arrays.
+        self.links: NeighborLinks = build_links(self.mesh)
         self.pool.clear()
         if not self.mesh.allocate:
+            self.neighbor_table = {}
             return self._rebuild_modeled()
+        self.neighbor_table = neighbor_table_from_links(self.mesh, self.links)
         nx = self.mesh.geometry.block_size
         ng = self.mesh.geometry.ng
         ndim = self.mesh.ndim
@@ -346,64 +380,35 @@ class BoundaryExchange:
 
     def _rebuild_modeled(self) -> RebuildStats:
         """Aggregate rebuild for cost-only runs: same counts, no objects."""
-        nx = self.mesh.geometry.block_size
-        ng = self.mesh.geometry.ng
-        ndim = self.mesh.ndim
-        ncomp = self._total_ncomp()
-        bpv = self.bytes_per_value
-        pairs: Dict[Tuple[int, int], List[int]] = {}
-        restricted = 0
-        prolongs = 0
-        restricts = 0
-        nbuffers = 0
-        per_rank: Dict[int, int] = {r: 0 for r in range(self.mpi.nranks)}
-        block_at = self.mesh.blocks_by_loc
-        for blk in self.mesh.block_list:
-            rparity = (blk.lloc.lx1 & 1, blk.lloc.lx2 & 1, blk.lloc.lx3 & 1)
-            coarse_offsets = set()
-            fine_or_same = 0
-            for nbr in self.neighbor_table[blk.lloc]:
-                s = nbr.nloc
-                _, recv, _, restrict_bs = _message_geometry(
-                    nx,
-                    ng,
-                    ndim,
-                    nbr.offset,
-                    nbr.delta,
-                    (s.lx1 & 1, s.lx2 & 1, s.lx3 & 1),
-                    rparity,
-                )
-                cells = (
-                    (recv[0][1] - recv[0][0])
-                    * (recv[1][1] - recv[1][0])
-                    * (recv[2][1] - recv[2][0])
-                )
-                src = block_at[s].rank
-                key = (src, blk.rank)
-                entry = pairs.get(key)
-                if entry is None:
-                    pairs[key] = [1, cells]
-                else:
-                    entry[0] += 1
-                    entry[1] += cells
-                nbuffers += 1
-                if restrict_bs:
-                    restricted += 1
-                if nbr.delta == -1:
-                    coarse_offsets.add(nbr.offset)
-                else:
-                    fine_or_same += 1
-                if src != blk.rank:
-                    size = cells * ncomp * bpv
-                    per_rank[src] += size
-                    per_rank[blk.rank] += size
-            if coarse_offsets:
-                prolongs += len(coarse_offsets)
-                restricts += 1 + fine_or_same
-        self._agg_pairs = pairs
-        self._agg_restricted_msgs = restricted
-        self._agg_prolongs = prolongs
-        self._agg_restricts = restricts
+        links = self.links
+        recv, send, delta = links.recv_gid, links.send_gid, links.delta
+        nblocks = self.mesh.num_blocks
+        nranks = self.mpi.nranks
+        cells = link_cells_table(
+            self.mesh.geometry.block_size, self.mesh.geometry.ng, self.mesh.ndim
+        )[links.offset_id, delta + 1]
+        rank = np.array([b.rank for b in self.mesh.block_list], dtype=np.int64)
+        src, dst = rank[send], rank[recv]
+        # Per rank pair (count, cells), keyed in first-occurrence order so
+        # ``send_bound_bufs`` observes the pairs in link order.
+        pair = src * nranks + dst
+        count = np.bincount(pair, minlength=nranks * nranks)
+        pair_cells = np.bincount(pair, weights=cells, minlength=nranks * nranks)
+        present, first = np.unique(pair, return_index=True)
+        self._agg_pairs = {
+            (p // nranks, p % nranks): [int(count[p]), int(pair_cells[p])]
+            for p in present[np.argsort(first)].tolist()
+        }
+        self._agg_restricted_msgs = int(np.count_nonzero(delta == 1))
+        # One prolongation per coarse-neighbor offset; a block with any
+        # coarser neighbor restricts its interior plus every ghost slab
+        # filled at its own resolution (same-level and finer links).
+        coarse = delta == -1
+        self._agg_prolongs = int(np.count_nonzero(coarse))
+        has_coarse = np.bincount(recv[coarse], minlength=nblocks) > 0
+        fine_or_same = np.bincount(recv[~coarse], minlength=nblocks)
+        self._agg_restricts = int((fine_or_same[has_coarse] + 1).sum())
+        nbuffers = len(recv)
         self._agg_nbuffers = nbuffers
         cache_stats = self.cache.initialize_counts(nbuffers)
         cache_stats.views_rebuilt = nbuffers
@@ -411,9 +416,20 @@ class BoundaryExchange:
         cache_stats.metadata_bytes = (
             nbuffers * self.cache.METADATA_BYTES_PER_BUFFER
         )
-        self.mpi.set_registered_buffer_bytes(per_rank)
+        remote = src != dst
+        remote_cells = cells[remote]
+        per_rank_cells = np.bincount(
+            src[remote], weights=remote_cells, minlength=nranks
+        ) + np.bincount(dst[remote], weights=remote_cells, minlength=nranks)
+        bytes_per_cell = self._total_ncomp() * self.bytes_per_value
+        self.mpi.set_registered_buffer_bytes(
+            {
+                r: int(c) * bytes_per_cell
+                for r, c in enumerate(per_rank_cells.tolist())
+            }
+        )
         return RebuildStats(
-            nblocks=self.mesh.num_blocks, nbuffers=nbuffers, cache=cache_stats
+            nblocks=nblocks, nbuffers=nbuffers, cache=cache_stats
         )
 
     # -------------------------------------------------------------- phases

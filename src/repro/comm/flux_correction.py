@@ -11,13 +11,12 @@ to flux fields — so the cost model charges it like a (smaller) exchange.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.mpi import SimMPI
-from repro.comm.topology import NeighborInfo
-from repro.mesh.logical_location import LogicalLocation
+from repro.comm.topology import NeighborLinks, offset_table
 from repro.mesh.mesh import Mesh
 
 
@@ -58,58 +57,69 @@ class FluxCorrectionStats:
 class FluxCorrection:
     """Applies fine→coarse flux correction over a mesh.
 
-    The neighbor table is shared with :class:`BoundaryExchange` (the caller
-    passes it in after each rebuild) so topology is computed once per remesh.
+    The neighbor links are shared with :class:`BoundaryExchange` (the caller
+    passes ``bx.links`` in after each rebuild) so topology is computed once
+    per remesh.  Only face links to a finer sender take part.
     """
 
     def __init__(self, mesh: Mesh, mpi: SimMPI, bytes_per_value: int = 8) -> None:
         self.mesh = mesh
         self.mpi = mpi
         self.bytes_per_value = bytes_per_value
-        self.neighbor_table: Dict[LogicalLocation, List[NeighborInfo]] = {}
+        self.set_links(NeighborLinks(*(np.zeros(0, np.int64),) * 4))
 
-    def set_neighbor_table(
-        self, table: Dict[LogicalLocation, List[NeighborInfo]]
-    ) -> None:
-        self.neighbor_table = table
+    def set_links(self, links: NeighborLinks) -> None:
+        """Keep the fine→coarse face links of ``links``, in link order."""
+        normal = offset_table(self.mesh.ndim)[0][links.offset_id]
+        keep = (np.abs(normal).sum(axis=1) == 1) & (links.delta == 1)
+        self._coarse_gid = links.recv_gid[keep]
+        self._fine_gid = links.send_gid[keep]
+        self._axis = np.argmax(normal[keep] != 0, axis=1)
+        self._side = normal[keep].sum(axis=1)
 
     def correct(self, field_names: Sequence[str]) -> FluxCorrectionStats:
         """Overwrite coarse face fluxes with restricted fine fluxes."""
-        stats = FluxCorrectionStats()
         ndim = self.mesh.ndim
         nx = self.mesh.geometry.block_size
         ncomp_by_name = {s.name: s.ncomp for s in self.mesh.field_specs}
         ncomp = sum(ncomp_by_name[name] for name in field_names)
-        for blk in self.mesh.block_list:
-            for nbr in self.neighbor_table.get(blk.lloc, []):
-                if nbr.delta != 1 or nbr.face_rank != 1:
-                    continue
-                axis = next(a for a in range(3) if nbr.offset[a] != 0)
-                o = nbr.offset[axis]
-                fine = self.mesh.block_at(nbr.nloc)
-                cells = 1
-                for t in range(ndim):
-                    if t != axis:
-                        cells *= nx[t] // 2
-                if self.mesh.allocate:
-                    self._apply(blk, fine, nbr, axis, o, field_names, ndim, nx)
-                self.mpi.send(
-                    fine.rank, blk.rank, cells * ncomp * self.bytes_per_value
-                )
-                if fine.rank == blk.rank:
-                    stats.messages_local += 1
-                else:
-                    stats.messages_remote += 1
-                stats.corrections += 1
-                stats.cells_communicated += cells
-                stats.bytes_communicated += cells * ncomp * self.bytes_per_value
-        return stats
+        # A face message carries the coarse half-extent of every tangential
+        # axis: the product of the halved sizes, over the normal axis's.
+        half = np.array([nx[t] // 2 if t < ndim else 1 for t in range(3)])
+        cells = half.prod() // half[self._axis]
+        nbytes = cells * ncomp * self.bytes_per_value
+        blocks = self.mesh.block_list
+        if self.mesh.allocate:
+            for c, f, a, o in zip(
+                self._coarse_gid.tolist(),
+                self._fine_gid.tolist(),
+                self._axis.tolist(),
+                self._side.tolist(),
+            ):
+                self._apply(blocks[c], blocks[f], a, o, field_names, ndim, nx)
+        rank = np.array([b.rank for b in blocks], dtype=np.int64)
+        src, dst = rank[self._fine_gid], rank[self._coarse_gid]
+        nranks = self.mpi.nranks
+        pair = src * nranks + dst
+        count = np.bincount(pair, minlength=nranks * nranks)
+        pair_bytes = np.bincount(pair, weights=nbytes, minlength=nranks * nranks)
+        for p in np.flatnonzero(count).tolist():
+            self.mpi.send_bulk(
+                p // nranks, p % nranks, int(count[p]), int(pair_bytes[p])
+            )
+        local = int(np.count_nonzero(src == dst))
+        return FluxCorrectionStats(
+            corrections=len(src),
+            messages_remote=len(src) - local,
+            messages_local=local,
+            cells_communicated=int(cells.sum()),
+            bytes_communicated=int(nbytes.sum()),
+        )
 
     def _apply(
         self,
         coarse_blk,
         fine_blk,
-        nbr: NeighborInfo,
         axis: int,
         o: int,
         field_names: Sequence[str],
@@ -130,7 +140,7 @@ class FluxCorrection:
             for t in range(ndim):
                 if t == axis:
                     continue
-                fi = nbr.nloc.coord(t) & 1
+                fi = fine_blk.lloc.coord(t) & 1
                 half = nx[t] // 2
                 csl[3 - t] = slice(fi * half, (fi + 1) * half)
             cflux[tuple(csl)] = slab

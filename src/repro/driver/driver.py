@@ -140,9 +140,11 @@ class ParthenonDriver:
         )
         self.metrics = MetricsRegistry()
         self.mpi = SimMPI(config.total_ranks, nnodes=config.num_nodes)
+        # Balance first so the one topology build sees the final ranks.
+        self._plan: RedistributionPlan = balance(self.mesh, config.total_ranks)
         self.bx = BoundaryExchange(self.mesh, self.mpi, metrics=self.metrics)
         self.fc = FluxCorrection(self.mesh, self.mpi)
-        self.fc.set_neighbor_table(self.bx.neighbor_table)
+        self.fc.set_links(self.bx.links)
         cfg = params.burgers_config()
         wavefront = None
         if not numeric:
@@ -184,9 +186,6 @@ class ParthenonDriver:
         self.rebuild_seconds = 0.0
         self.oom = False
         self.history: List[HistoryRow] = []
-        self._plan: RedistributionPlan = balance(self.mesh, config.total_ranks)
-        self.bx.rebuild()
-        self.fc.set_neighbor_table(self.bx.neighbor_table)
         #: Cached contiguous pack for the packed execution engine; rebuilt
         #: lazily and only when the mesh's block population changes.
         self._pack: Optional[MeshBlockPack] = None
@@ -719,7 +718,7 @@ class ParthenonDriver:
                     # ranks; surviving block arrays — pack views — persist.)
                     self._pack = None
                 rebuild = self.bx.rebuild()
-                self.fc.set_neighbor_table(self.bx.neighbor_table)
+                self.fc.set_links(self.bx.links)
                 rebuild_cost = (
                     self.serial_model.rebuild_buffer_cache(rebuild)
                     + self.serial_model.build_tag_map(rebuild)

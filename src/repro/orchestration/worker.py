@@ -67,8 +67,12 @@ def _deadline(seconds: Optional[float]) -> Iterator[None]:
     """Raise :class:`PointTimeout` after ``seconds`` of wall time.
 
     Uses ``SIGALRM`` (delivered to the worker process's main thread,
-    which is where pool workers run tasks).  A no-op where alarms are
-    unavailable (non-POSIX, or a non-main thread).
+    which is where pool workers run tasks).  The timer re-fires every
+    ``min(seconds, 0.1)`` s until the body exits: a ``PointTimeout``
+    raised where Python cannot propagate it (a ``gc`` callback, a
+    ``__del__``) is only printed as unraisable, and the next alarm raises
+    again.  A no-op where alarms are unavailable (non-POSIX, or a
+    non-main thread).
     """
     usable = (
         seconds is not None
@@ -83,11 +87,18 @@ def _deadline(seconds: Optional[float]) -> Iterator[None]:
         raise PointTimeout(f"point exceeded {seconds}s")
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, seconds, min(seconds, 0.1))
     try:
         yield
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        # A repeat alarm may land before the timer is off; retry so the
+        # handler is always restored (the body's own outcome stands).
+        while True:
+            try:
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+                break
+            except PointTimeout:
+                continue
         signal.signal(signal.SIGALRM, previous)
 
 

@@ -189,8 +189,7 @@ def restore_driver(
         setattr(driver, name, value)
     driver.bx = BoundaryExchange(driver.mesh, driver.mpi, metrics=driver.metrics)
     driver.fc = FluxCorrection(driver.mesh, driver.mpi)
-    driver.bx.rebuild()
-    driver.fc.set_neighbor_table(driver.bx.neighbor_table)
+    driver.fc.set_links(driver.bx.links)
     # Recreate the kernel engine against the *restored* package via the
     # registry, re-resolving availability in this process (the effective
     # backend may differ from the checkpointing process's).  Sharded runs

@@ -4,9 +4,18 @@
 asserting against it (the golden-update policy is in DESIGN §8: update
 only alongside the schema or model change that motivated it, and review
 the diff).
+
+Every ``@given`` test runs under one hypothesis profile without a
+per-example deadline: examples build meshes and run exchanges whose host
+time varies with machine load, and a wall-clock limit would make the
+correctness suite flaky.
 """
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("repro", deadline=None)
+settings.load_profile("repro")
 
 
 def pytest_addoption(parser):

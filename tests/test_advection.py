@@ -33,7 +33,7 @@ def make_setup(ndim=1, mesh=64, block=16, levels=1, velocity=(1.0, 0.0, 0.0),
     mpi = SimMPI(1)
     bx = BoundaryExchange(m, mpi)
     fc = FluxCorrection(m, mpi)
-    fc.set_neighbor_table(bx.neighbor_table)
+    fc.set_links(bx.links)
     return m, pkg, bx, fc
 
 

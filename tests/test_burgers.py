@@ -48,7 +48,7 @@ def make_setup(
     mpi = SimMPI(1)
     bx = BoundaryExchange(m, mpi)
     fc = FluxCorrection(m, mpi)
-    fc.set_neighbor_table(bx.neighbor_table)
+    fc.set_links(bx.links)
     return m, pkg, bx, fc
 
 

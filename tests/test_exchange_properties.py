@@ -24,7 +24,7 @@ def make_mesh(levels=2, allocate=True):
     return Mesh(geo, field_specs=[FieldSpec("q", 1)], allocate=allocate)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(st.lists(st.integers(0, 10_000), min_size=0, max_size=4))
 def test_exchange_is_idempotent(seeds):
     """Property: a second exchange after convergence changes nothing —
@@ -48,7 +48,7 @@ def test_exchange_is_idempotent(seeds):
         )
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(st.lists(st.integers(0, 10_000), min_size=0, max_size=4))
 def test_interior_untouched_by_exchange(seeds):
     """Property: the exchange never modifies interior cells."""
@@ -67,7 +67,7 @@ def test_interior_untouched_by_exchange(seeds):
         np.testing.assert_array_equal(blk.interior("q"), before[blk.gid])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     st.sampled_from(neighbor_offsets(2)),
     st.integers(-1, 1),
@@ -98,7 +98,7 @@ def test_message_sizes_consistent(offset, delta, sx, sy):
         assert send_cells == spec.cells
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(st.integers(1, 4))
 def test_rank_count_does_not_change_traffic_volume(nranks):
     """Property: rank layout moves bytes between local/remote categories

@@ -56,7 +56,7 @@ class TestFluxCorrection:
         mpi = SimMPI(1)
         bx = BoundaryExchange(mesh, mpi)
         fc = FluxCorrection(mesh, mpi)
-        fc.set_neighbor_table(bx.neighbor_table)
+        fc.set_links(bx.links)
         return mesh, mpi, fc
 
     def test_coarse_face_replaced_by_fine_average(self):
@@ -96,7 +96,7 @@ class TestFluxCorrection:
         mpi = SimMPI(2)
         bx = BoundaryExchange(mesh, mpi)
         fc = FluxCorrection(mesh, mpi)
-        fc.set_neighbor_table(bx.neighbor_table)
+        fc.set_links(bx.links)
         stats = fc.correct(["u"])
         assert stats.corrections == 8
         assert stats.messages_remote + stats.messages_local == 8

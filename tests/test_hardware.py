@@ -73,7 +73,7 @@ class TestOccupancy:
             occupancy(H100_SXM, 600, 1024)
 
     @given(st.integers(16, 256), st.sampled_from([64, 128, 256]))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_occupancy_bounds_property(self, regs, tpb):
         # regs <= 256 with <= 256-thread blocks always fits at least one
         # block per SM (256 regs x 256 threads = exactly the register file).

@@ -202,7 +202,7 @@ class TestRestart:
 
         d2.bx = BoundaryExchange(mesh, d2.mpi)
         d2.fc = FluxCorrection(mesh, d2.mpi)
-        d2.fc.set_neighbor_table(d2.bx.neighbor_table)
+        d2.fc.set_links(d2.bx.links)
         d2.run(2)
         assert d2.history[-1].scalar_totals[0] == pytest.approx(
             d.history[-1].scalar_totals[0], rel=1e-12

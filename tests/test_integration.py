@@ -138,7 +138,7 @@ class TestManualPipelineMatchesDriver:
         mpi = SimMPI(1)
         bx = BoundaryExchange(mesh, mpi)
         fc = FluxCorrection(mesh, mpi)
-        fc.set_neighbor_table(bx.neighbor_table)
+        fc.set_links(bx.links)
 
         dt = d._current_dt()
         d._step()

@@ -52,7 +52,7 @@ class TestPartition:
         sizes = Counter(parts).values()
         assert max(sizes) <= 4 and min(sizes) >= 3
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(
         st.lists(st.floats(0.1, 10.0), min_size=1, max_size=60),
         st.integers(1, 12),

@@ -116,7 +116,7 @@ class TestLimitedSlopes:
         assert s[0, 0, 0, 0] == 0.0
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     hnp.arrays(
         np.float64,
@@ -130,7 +130,7 @@ def test_prolong_restrict_roundtrip_property(coarse):
     assert np.allclose(restrict(fine, 2), coarse[:, :, 1:-1, 1:-1], atol=1e-9)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     hnp.arrays(
         np.float64,
@@ -144,7 +144,7 @@ def test_restrict_conserves_total_property(fine):
     assert coarse.sum() * 2 == pytest.approx(fine.sum(), abs=1e-6)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     c=st.floats(-1e30, 1e30, allow_nan=False),
     ndim=st.integers(1, 3),
@@ -171,7 +171,7 @@ def test_restrict_of_prolonged_constant_exact_property(c, ndim, ncomp, extent):
     assert np.array_equal(restrict(fine, ndim), interior)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_restrict_conserves_sum_over_random_regions_property(data):
     """Property: restriction conserves the volume-weighted total for any

@@ -112,7 +112,7 @@ class TestFaceStates:
             face_states(np.ones((1, 1, 1, 16)), 3, 4, 8, scheme="ppm")
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     hnp.arrays(np.float64, 16, elements=st.floats(-10, 10, allow_nan=False))
 )
@@ -126,7 +126,7 @@ def test_weno5_states_bounded_by_stencil(q):
     assert ql.max() <= hi + 0.6 * span
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     hnp.arrays(np.float64, 12, elements=st.floats(-10, 10, allow_nan=False))
 )

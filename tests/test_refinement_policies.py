@@ -302,7 +302,7 @@ def run_budget_cycles(mesh, policy, tagger, cycles):
 
 
 class TestBlockBudget:
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(
         target=st.integers(min_value=4, max_value=60),
         seed=st.integers(min_value=0, max_value=10_000),
@@ -318,7 +318,7 @@ class TestBlockBudget:
         cap = max(target, initial)
         assert all(c <= cap for c in counts), (counts, target, initial)
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_hysteresis_band_is_quiet(self, seed):
         mesh = make_mesh(levels=3, allocate=False)
@@ -415,7 +415,7 @@ class TestBlockBudget:
 
 
 class TestDerefineGapProperty:
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         gap=st.integers(min_value=1, max_value=6),

@@ -86,7 +86,7 @@ class TestCheckpointByteStability:
         second = serialize_state(capture_state(restored))
         assert first == second
 
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=8)
     @given(cycles=st.integers(1, 3), warmup=st.integers(0, 2))
     def test_byte_stable_across_run_lengths(self, cycles, warmup):
         drv = _driver(cycles=cycles, warmup=warmup)
@@ -112,7 +112,7 @@ def intact_checkpoint(tmp_path_factory):
 
 
 class TestCorruptionDetection:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(offset=st.integers(0, 10_000), flip=st.integers(1, 255))
     def test_any_payload_corruption_raises(
         self, offset, flip, intact_checkpoint, tmp_path_factory
@@ -198,7 +198,7 @@ def _schedule(injector, checks):
 
 
 class TestFaultInjectorDeterminism:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(
         plan=_plans,
         checks=st.lists(
@@ -210,7 +210,7 @@ class TestFaultInjectorDeterminism:
         b = _schedule(FaultInjector(plan), checks)
         assert a == b
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         plan=_plans,
         checks=st.lists(st.tuples(_site, st.integers(0, 5)), max_size=40),
@@ -259,19 +259,19 @@ _counters = st.builds(
 
 
 class TestFaultCounterMerge:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(a=_counters, b=_counters)
     def test_commutative(self, a, b):
         assert a.merge(b).to_dict() == b.merge(a).to_dict()
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(a=_counters, b=_counters, c=_counters)
     def test_associative(self, a, b, c):
         assert (
             a.merge(b).merge(c).to_dict() == a.merge(b.merge(c)).to_dict()
         )
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(a=_counters)
     def test_identity(self, a):
         assert a.merge(FaultCounters()).to_dict() == a.to_dict()

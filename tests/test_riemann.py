@@ -93,7 +93,7 @@ class TestLlf:
         assert f_llf[1, 0] == pytest.approx(f_hll[1, 0])
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     st.floats(-5, 5, allow_nan=False),
     st.floats(-5, 5, allow_nan=False),
@@ -106,7 +106,7 @@ def test_hll_consistency_property(u1, u2, q):
     np.testing.assert_allclose(f, physical_flux(u, 0, 1), atol=1e-12)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.floats(0.01, 5), st.floats(0.01, 5))
 def test_hll_upwind_when_flow_positive(ul1, ur1):
     """Property: strictly positive flow on both sides -> left upwind flux."""

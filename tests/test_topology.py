@@ -85,7 +85,7 @@ class TestRefined:
         assert after > before
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=6))
 def test_symmetry_property_random_meshes(seeds):
     """Property: neighbor links are mutual on any legal refined mesh."""

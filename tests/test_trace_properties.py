@@ -55,7 +55,7 @@ def interpret(prof, actions, lengths, depth=0):
             prof.add_kernel("K", value)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(actions=ACTIONS, lengths=SPAN_LENGTHS)
 def test_random_interleavings_produce_wellformed_trees(actions, lengths):
     rec = TraceRecorder()
@@ -117,14 +117,14 @@ def merged(*parts):
     return out.to_dict(per_cycle=False)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(a=COUNTERS, b=COUNTERS, ga=GAUGES, gb=GAUGES)
 def test_metrics_merge_commutative(a, b, ga, gb):
     ra, rb = registry_of(a, ga), registry_of(b, gb)
     assert merged(ra, rb) == merged(rb, ra)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(a=COUNTERS, b=COUNTERS, c=COUNTERS)
 def test_metrics_merge_associative(a, b, c):
     ra, rb, rc = (registry_of(d, {}) for d in (a, b, c))
@@ -141,7 +141,7 @@ def test_metrics_merge_associative(a, b, c):
     assert left.to_dict(per_cycle=False) == right.to_dict(per_cycle=False)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     values=st.lists(
         st.floats(min_value=0.0, max_value=1e9,

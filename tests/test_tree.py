@@ -210,7 +210,7 @@ class TestApplyFlags:
         assert refined == []
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=12))
 def test_random_refinement_keeps_tree_valid(seeds):
     """Property: any refine sequence preserves tiling and the 2:1 rule."""
@@ -223,7 +223,7 @@ def test_random_refinement_keeps_tree_valid(seeds):
     tree.check_valid()
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     st.lists(st.integers(0, 10_000), min_size=1, max_size=8),
     st.lists(st.integers(0, 10_000), min_size=1, max_size=8),
