@@ -129,8 +129,6 @@ def build_links(mesh: Mesh) -> NeighborLinks:
     nlev = tree.num_levels + 1  # one past the finest: finer probes land there
     dims = np.array([tree.blocks_per_dim(l) for l in range(nlev)], dtype=np.int64)
     base = np.concatenate(([0], np.cumsum(dims.prod(axis=1))))
-    if base[-1] >= 1 << 62:
-        raise ValueError("mesh too large for int64 location keys")
     loc = np.array(
         [(b.lloc.level, b.lloc.lx1, b.lloc.lx2, b.lloc.lx3) for b in mesh.block_list],
         dtype=np.int64,

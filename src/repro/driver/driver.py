@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -205,12 +206,16 @@ class ParthenonDriver:
             if config.num_shards > 1:
                 from repro.parallel import ShardedPackKernels
 
+                me = weakref.ref(self)
                 self._shard_exec = ShardedPackKernels(
                     params=params,
                     backend_name=self.kernel_backend,
                     num_shards=config.num_shards,
-                    injector_provider=lambda: self.fault_injector,
-                    cycle_provider=lambda: self.cycle,
+                    # Weak: closures over ``self`` would tie the driver and
+                    # its executor into a cycle that only a full gc pass
+                    # frees, keeping a finished run's pack mapped until then.
+                    injector_provider=lambda: me().fault_injector,
+                    cycle_provider=lambda: me().cycle,
                 )
                 self._packed = self._shard_exec
             else:
