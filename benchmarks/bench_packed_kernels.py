@@ -1,5 +1,4 @@
-"""Packed vs per-block numeric kernel execution (the Fig. 1c mechanism),
-now swept across every available kernel backend.
+"""Packed vs per-block numeric kernel execution (the Fig. 1c mechanism).
 
 The paper attributes the GPU's collapse at small MeshBlock sizes to per-block
 kernel-launch overhead, which Parthenon's MeshBlockPack amortizes by sweeping
@@ -8,25 +7,19 @@ that mechanism in Python: per-block kernels pay interpreter and NumPy
 dispatch overhead once per block, the packed engine once per pack.  This
 benchmark measures the real wall-clock effect on the CalculateFluxes stage
 (reconstruction + Riemann — the paper's hottest kernel) across the Fig. 5
-block-size sweep, verifies every engine agrees numerically, and emits the
+block-size sweep, verifies both modes agree numerically, and emits the
 machine-readable ``BENCH_kernels.json`` perf-trajectory file at the repo
-root: one entry per (engine, block size) with the flux-stage time, the
-speedup against the packed numpy reference, and the cell throughput.
-
-Backends whose runtime dependency is missing are listed in the JSON as
-unavailable but not timed (the unjitted numba loops would measure the
-Python interpreter, not the engine).
+root: one entry per (kernel mode, block size) with the flux-stage time, the
+speedup against the packed engine, and the cell throughput.
 
 Acceptance: >= 2x packed-vs-per-block speedup at block size 16^3 at paper
-scale, and — when numba is importable — >= 5x numba-vs-packed-numpy
-flux-stage speedup at block size 32^3.
+scale.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -36,14 +29,10 @@ from repro.comm.bvals import BoundaryExchange
 from repro.comm.mpi import SimMPI
 from repro.core.report import render_table
 from repro.driver.params import SimulationParams
-from repro.kernels.backends import (
-    available_backends,
-    backend_names,
-    get_backend,
-)
 from repro.mesh.mesh import Mesh
 from repro.solver.burgers import BASE, BurgersPackage, CONSERVED, DERIVED
 from repro.solver.initial_conditions import gaussian_blob
+from repro.solver.packed_kernels import PackedBurgersKernels
 from repro.solver.packs import build_numeric_pack
 
 SCALE = bench_scale()
@@ -53,11 +42,6 @@ REPS = 3 if SCALE["quick"] else 9
 #: Required flux-stage speedup at block 16 (relaxed at quick scale, where the
 #: tiny rep count makes timings noisy).
 MIN_SPEEDUP_B16 = 1.2 if SCALE["quick"] else 2.0
-#: Required numba-over-numpy flux-stage speedup at block 32 (single-block
-#: pack: pure kernel arithmetic, no pack-traversal overhead in either path).
-#: Tightened from 5.0 when the sweep went direct-strided — dropping the
-#: moveaxis staging copies removed the stage's remaining memcpy traffic.
-MIN_NUMBA_SPEEDUP_B32 = 6.0
 
 BENCH_JSON = bench_json_path("kernels")
 
@@ -88,9 +72,9 @@ def _timed(fn) -> float:
 def _measure(block_size: int):
     """Flux-stage times for one block size.
 
-    Returns ``(times, worst)``: ``times`` maps ``per_block`` and every
-    available backend name to its best-of-REPS flux-stage seconds;
-    ``worst`` is the worst per-engine flux deviation from the per-block
+    Returns ``(times, worst)``: ``times`` maps each kernel mode
+    (``per_block``, ``packed``) to its best-of-REPS flux-stage seconds;
+    ``worst`` is the worst packed flux deviation from the per-block
     reference.
     """
     mesh, pkg = _setup(block_size)
@@ -108,27 +92,23 @@ def _measure(block_size: int):
     pack = build_numeric_pack(
         mesh, (CONSERVED, BASE, DERIVED), flux_field=CONSERVED
     )
-    engines = {
-        name: get_backend(name).create_kernels(pkg)
-        for name in available_backends()
-    }
+    engine = PackedBurgersKernels(pkg)
 
-    def packed(engine):
-        return lambda: engine.calculate_fluxes(pack)
+    def packed():
+        engine.calculate_fluxes(pack)
 
-    worst = 0.0
-    runners = {"per_block": per_block}
-    runners.update({name: packed(eng) for name, eng in engines.items()})
+    runners = {"per_block": per_block, "packed": packed}
     times = {}
     for name, fn in runners.items():
-        fn()  # warm scratch allocations (and the numba JIT compile)
+        fn()  # warm scratch allocations
         times[name] = _timed(fn)
-        if name != "per_block":
-            # Block flux views alias the pack flux storage the engine
-            # just wrote, so the per-block reference checks every engine.
-            for b, blk in enumerate(mesh.block_list):
-                for ref, got in zip(reference[b], blk.fluxes[CONSERVED]):
-                    worst = max(worst, float(np.max(np.abs(ref - got))))
+    # Block flux views alias the pack flux storage the packed engine just
+    # wrote, so the per-block reference checks it directly.
+    worst = max(
+        float(np.max(np.abs(ref - got)))
+        for b, blk in enumerate(mesh.block_list)
+        for ref, got in zip(reference[b], blk.fluxes[CONSERVED])
+    )
     # Interleave the remaining reps so clock drift and background noise hit
     # every path symmetrically; keep the per-path minimum.
     for _ in range(REPS - 1):
@@ -140,15 +120,12 @@ def _measure(block_size: int):
 def _write_bench_json(entries: list) -> None:
     doc = {
         "schema": "repro.bench_kernels",
-        "schema_version": 1,
+        "schema_version": 2,
         "scale": "quick" if SCALE["quick"] else "paper",
         "mesh": MESH,
         "ndim": 3,
         "reps": REPS,
         "timing": "min over reps of one CalculateFluxes sweep (seconds)",
-        "backends": {
-            name: name in available_backends() for name in backend_names()
-        },
         "entries": entries,
     }
     BENCH_JSON.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -158,8 +135,7 @@ def test_packed_flux_speedup(benchmark, save_report):
     def run():
         rows = []
         entries = []
-        speedups = {}  # packed numpy over per_block, per block size
-        numba_speedups = {}  # numba over packed numpy, per block size
+        speedups = {}  # packed over per_block, per block size
         for block in BLOCK_SIZES:
             times, dev = _measure(block)
             assert dev < 1e-12, (
@@ -167,21 +143,16 @@ def test_packed_flux_speedup(benchmark, save_report):
             )
             nblocks = (MESH // block) ** 3
             cells = MESH**3  # interior zones swept per flux call
-            t_ref = times["numpy"]
+            t_ref = times["packed"]
             speedups[block] = times["per_block"] / t_ref
-            if "numba" in times:
-                numba_speedups[block] = t_ref / times["numba"]
-            for name, seconds in times.items():
+            for mode, seconds in times.items():
                 entries.append(
                     {
-                        "engine": name,
-                        "kernel_mode": (
-                            "per_block" if name == "per_block" else "packed"
-                        ),
+                        "kernel_mode": mode,
                         "block_size": block,
                         "nblocks": nblocks,
                         "seconds": seconds,
-                        "speedup_vs_packed_numpy": t_ref / seconds,
+                        "speedup_vs_packed": t_ref / seconds,
                         "cells_per_s": cells / seconds,
                         "max_flux_deviation": dev,
                     }
@@ -189,7 +160,7 @@ def test_packed_flux_speedup(benchmark, save_report):
                 rows.append(
                     [
                         block,
-                        name,
+                        mode,
                         f"{seconds * 1e3:.2f}",
                         f"{t_ref / seconds:.2f}x",
                         f"{cells / seconds:.3e}",
@@ -200,18 +171,12 @@ def test_packed_flux_speedup(benchmark, save_report):
             f"packed CalculateFluxes speedup at 16^3 is {speedups[16]:.2f}x, "
             f"need >= {MIN_SPEEDUP_B16}x"
         )
-        if "numba" in available_backends() and not SCALE["quick"]:
-            assert numba_speedups[32] >= MIN_NUMBA_SPEEDUP_B32, (
-                f"numba flux-stage speedup at 32^3 is "
-                f"{numba_speedups[32]:.2f}x over packed numpy, "
-                f"need >= {MIN_NUMBA_SPEEDUP_B32}x"
-            )
         return render_table(
-            ["block", "engine", "flux_ms", "vs_packed_numpy", "cells_per_s"],
+            ["block", "kernel_mode", "flux_ms", "vs_packed", "cells_per_s"],
             rows,
             title=(
-                f"CalculateFluxes by engine (mesh {MESH}^3, numeric, min of "
-                f"{REPS} reps; launch amortization per Section II-C; "
+                f"CalculateFluxes by kernel mode (mesh {MESH}^3, numeric, "
+                f"min of {REPS} reps; launch amortization per Section II-C; "
                 f"JSON trajectory at {BENCH_JSON.name})"
             ),
         )

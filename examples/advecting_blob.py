@@ -64,9 +64,9 @@ def main() -> None:
     )
     for cycle in range(25):
         advance_advection_rk2(mesh, pkg, bx, dt, fc)
-        refine, derefine, _ = policy.collect_flags(mesh, cycle)
-        if refine or derefine:
-            mesh.remesh(refine, derefine)
+        report = policy.collect_flags(mesh, cycle)
+        if report.refine or report.derefine:
+            mesh.remesh(report.refine, report.derefine)
             bx.rebuild()
             fc.set_links(bx.links)
             policy.forget_stale(mesh)

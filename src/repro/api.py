@@ -44,7 +44,12 @@ from typing import (
 from repro import __version__
 from repro.driver.driver import ParthenonDriver, RunResult
 from repro.driver.execution import ExecutionConfig, OptimizationFlags
-from repro.driver.input import parse_input, params_from_input, render_input
+from repro.driver.input import (
+    check_kernel_backend,
+    params_from_input,
+    parse_input,
+    render_input,
+)
 from repro.driver.params import SimulationParams
 from repro.mesh.refinement import KNOWN_POLICIES
 from repro.observability import Trace, TraceRecorder
@@ -76,7 +81,6 @@ VALID_CHOICES: Dict[str, Sequence[str]] = {
     "backend": ("gpu", "cpu"),
     "mode": ("modeled", "numeric"),
     "kernel_mode": ("packed", "per_block"),
-    "kernel_backend": ("numpy", "numba", "cupy"),
     "reconstruction": ("weno5", "plm"),
     "riemann": ("hll", "llf"),
     "refinement_policy": KNOWN_POLICIES,
@@ -138,11 +142,18 @@ def build_execution_config(
     valid choices spelled out, rather than deep inside the driver.
     ``optimizations`` may be an :class:`OptimizationFlags` or a plain
     dict of flag names (routed through :func:`build_optimization_flags`).
+    The removed ``kernel_backend`` option is accepted, and dropped, only
+    as ``"numpy"`` so old inputs keep working.
     """
+    if "kernel_backend" in options:
+        try:
+            check_kernel_backend(options.pop("kernel_backend"))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     valid = [f.name for f in dataclasses.fields(ExecutionConfig)]
     valid.remove("optimizations")
     _check_names("execution", options, valid)
-    for option in ("backend", "mode", "kernel_mode", "kernel_backend"):
+    for option in ("backend", "mode", "kernel_mode"):
         if option in options:
             _check_choice(option, options[option])
     if isinstance(optimizations, dict):
@@ -188,7 +199,6 @@ JSON_CONFIG_FIELDS: Sequence[str] = (
     "num_nodes",
     "mode",
     "kernel_mode",
-    "kernel_backend",
     "checkpoint_every",
     "num_shards",
 )
@@ -351,7 +361,11 @@ class RunSpec:
         optimizations = config_doc.pop("optimizations", None)
         if optimizations is not None and not isinstance(optimizations, dict):
             raise ConfigError("RunSpec 'config.optimizations' must be an object")
-        _check_names("execution", config_doc, JSON_CONFIG_FIELDS)
+        # ``kernel_backend`` passes on to the builder, which accepts it
+        # from old service journals as "numpy" only.
+        _check_names(
+            "execution", config_doc, (*JSON_CONFIG_FIELDS, "kernel_backend")
+        )
         _check_names("simulation", params_doc, JSON_PARAMS_FIELDS)
         params = build_simulation_params(**params_doc)
         config = build_execution_config(
@@ -600,10 +614,8 @@ class Simulation:
         meta = {
             "backend": c.backend,
             "block_size": p.block_size,
-            # Effective engine (post-fallback), not the request: golden
-            # traces must be invariant to which backends are installed
-            # apart from this one field.
-            "kernel_backend": self.driver.kernel_backend,
+            # numpy is the only engine; the field keeps trace schema v2.
+            "kernel_backend": "numpy",
             "kernel_mode": c.kernel_mode,
             "label": self.spec.label,
             "mesh_size": p.mesh_size,

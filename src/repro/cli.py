@@ -71,12 +71,6 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
         "(the launch-overhead ablation)",
     )
     p.add_argument(
-        "--kernel-backend", choices=("numpy", "numba", "cupy"),
-        default="numpy",
-        help="engine for packed numeric kernels; unavailable backends "
-        "fall back to numpy with a one-time warning",
-    )
-    p.add_argument(
         "--shards", type=int, default=1, metavar="N",
         help="run numeric packed stages across N shared-memory worker "
         "processes (bitwise-identical to serial; inert outside "
@@ -105,7 +99,6 @@ def _build_config(args, **overrides):
         num_nodes=args.nodes,
         mode=getattr(args, "mode", "modeled"),
         kernel_mode=getattr(args, "kernel_mode", "packed"),
-        kernel_backend=getattr(args, "kernel_backend", "numpy"),
         num_shards=getattr(args, "shards", 1),
     )
     if args.backend == "gpu":
@@ -285,12 +278,6 @@ def cmd_trace(args) -> int:
     if args.kernel_mode:
         spec = spec.replace(
             config=dataclasses.replace(spec.config, kernel_mode=args.kernel_mode)
-        )
-    if args.kernel_backend:
-        spec = spec.replace(
-            config=dataclasses.replace(
-                spec.config, kernel_backend=args.kernel_backend
-            )
         )
     if args.shards is not None:
         try:
@@ -613,10 +600,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="override the deck's kernel mode",
     )
     p_trace.add_argument(
-        "--kernel-backend", choices=("numpy", "numba", "cupy"), default=None,
-        help="override the deck's kernel backend",
-    )
-    p_trace.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="override the deck's num_shards (sharded traces differ from "
         "serial only in meta.num_shards and the meta.shards section)",
@@ -666,10 +649,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_camp.add_argument("--mode", choices=("modeled", "numeric"), default="modeled")
     p_camp.add_argument(
         "--kernel-mode", choices=("packed", "per_block"), default="packed"
-    )
-    p_camp.add_argument(
-        "--kernel-backend", choices=("numpy", "numba", "cupy"),
-        default="numpy",
     )
     p_camp.add_argument(
         "--shards", type=int, default=1, metavar="N",

@@ -57,7 +57,6 @@ from repro.resilience.faults import FaultInjector, NULL_INJECTOR
 from repro.mesh.loadbalance import RedistributionPlan, balance
 from repro.mesh.mesh import Mesh
 from repro.mesh.refinement import SphericalWavefrontTagger, build_policy
-from repro.kernels.backends import resolve_backend
 from repro.solver.advance import RK2_STAGES
 from repro.solver.burgers import (
     BASE,
@@ -66,6 +65,7 @@ from repro.solver.burgers import (
     DERIVED,
 )
 from repro.solver.history import HistoryRow, reduce_history
+from repro.solver.packed_kernels import PackedBurgersKernels
 from repro.solver.packs import MeshBlockPack, build_numeric_pack
 from repro.solver.state import Metadata
 
@@ -102,9 +102,8 @@ class RunResult:
     #: histograms, per-cycle counter series) — the run-artifact's
     #: ``metrics`` section.
     metrics: Dict[str, object] = field(default_factory=dict)
-    #: *Effective* kernel backend the numeric packed kernels ran on
-    #: ("numpy" after a fallback, and always "numpy" for per_block or
-    #: modeled runs); ``config.kernel_backend`` records the request.
+    #: The engine the numeric kernels ran on: always "numpy", the only
+    #: one there is.  Kept so artifacts and traces keep their schema.
     kernel_backend: str = "numpy"
     #: Shard-execution summary (DESIGN §12): topology + per-shard stage
     #: wall seconds from :meth:`ShardedPackKernels.summary`.  Empty for
@@ -191,25 +190,17 @@ class ParthenonDriver:
         #: lazily and only when the mesh's block population changes.
         self._pack: Optional[MeshBlockPack] = None
         self.pack_rebuilds = 0
-        #: Effective kernel backend: the registry resolution of
-        #: ``config.kernel_backend`` (falls back to "numpy" when the
-        #: requested engine is unavailable).  Per-block and modeled runs
-        #: always execute the reference math, hence "numpy".
-        self.kernel_backend = "numpy"
         self._packed = None
         #: Shard executor (repro.parallel) when this run fans the packed
         #: stages out to worker processes; None for serial execution.
         self._shard_exec = None
         if numeric and config.kernel_mode == "packed":
-            backend = resolve_backend(config.kernel_backend)
-            self.kernel_backend = backend.name
             if config.num_shards > 1:
                 from repro.parallel import ShardedPackKernels
 
                 me = weakref.ref(self)
                 self._shard_exec = ShardedPackKernels(
                     params=params,
-                    backend_name=self.kernel_backend,
                     num_shards=config.num_shards,
                     # Weak: closures over ``self`` would tie the driver and
                     # its executor into a cycle that only a full gc pass
@@ -219,7 +210,7 @@ class ParthenonDriver:
                 )
                 self._packed = self._shard_exec
             else:
-                self._packed = backend.create_kernels(self.pkg)
+                self._packed = PackedBurgersKernels(self.pkg)
         if numeric and initial_conditions is not None:
             initial_conditions(self.mesh, self.pkg)
         self._update_memory()
@@ -905,7 +896,6 @@ class ParthenonDriver:
                 for f in dataclasses.fields(self.mpi.total)
             },
             metrics=self.metrics.to_dict(),
-            kernel_backend=self.kernel_backend,
             shards=(
                 {} if self._shard_exec is None else self._shard_exec.summary()
             ),

@@ -76,13 +76,6 @@ class ExecutionConfig:
     #: Section II-C); "per_block" loops blocks one kernel call each — the
     #: launch-overhead ablation.  Modeled runs use it for launch accounting.
     kernel_mode: str = "packed"
-    #: Which registered engine executes the packed numeric kernels:
-    #: "numpy" (vectorized reference), "numba" (JIT fused stencils), or
-    #: "cupy" (GPU arrays).  This is the *requested* backend; the driver
-    #: resolves it against availability and falls back to "numpy" with a
-    #: one-time warning (``ParthenonDriver.kernel_backend`` records the
-    #: effective engine).  Ignored outside numeric+packed execution.
-    kernel_backend: str = "numpy"
     gpu_spec: GPUSpec = H100_SXM
     cpu_spec: CPUSpec = SAPPHIRE_RAPIDS_8468
     calibration: Calibration = DEFAULT_CALIBRATION
@@ -118,13 +111,6 @@ class ExecutionConfig:
             raise ValueError(
                 f"kernel_mode must be 'packed' or 'per_block', "
                 f"got {self.kernel_mode!r}"
-            )
-        from repro.kernels.backends.base import KNOWN_BACKENDS
-
-        if self.kernel_backend not in KNOWN_BACKENDS:
-            raise ValueError(
-                f"kernel_backend must be one of {', '.join(KNOWN_BACKENDS)}, "
-                f"got {self.kernel_backend!r}"
             )
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")

@@ -41,9 +41,27 @@ _SECTION_RE = re.compile(r"^<([^>]+)>$")
 
 Value = Union[int, float, bool, str]
 
+_DEFAULT_PARAMS = SimulationParams()
+
+#: ``<refinement>`` keys for the modeled-mode wavefront generator.
+_WAVEFRONT_FIELDS = ("wavefront_speed", "wavefront_width", "wavefront_r0")
+
 
 class InputError(ValueError):
     """Malformed input deck."""
+
+
+def check_kernel_backend(value: object) -> None:
+    """Accept the removed ``kernel_backend`` option only as ``"numpy"``.
+
+    Old decks, JSON specs and service journals may still carry the key;
+    ``"numpy"`` names the one packed engine there is, so it is ignored.
+    """
+    if value != "numpy":
+        raise InputError(
+            f"kernel_backend {value!r} is not available: the optional kernel "
+            "engines were removed (DESIGN §10); numpy is the only one"
+        )
 
 
 def _coerce(raw: str) -> Value:
@@ -120,12 +138,19 @@ def params_from_input(text: str) -> Tuple[SimulationParams, ExecutionConfig]:
         cfl=float(_get(s, "parthenon/time", "cfl", 0.4)),
         refine_every=_get(s, "parthenon/mesh", "refine_every", 1),
         derefine_gap=_get(s, "parthenon/mesh", "derefine_count", 10),
+        load_balance_every=_get(s, "parthenon/mesh", "load_balance_every", 1),
         refine_tol=float(_get(s, "burgers", "refine_tol", 0.15)),
         derefine_tol=float(_get(s, "burgers", "derefine_tol", 0.03)),
         refinement_policy=str(
             _get(s, "refinement", "policy", "first_derivative")
         ),
         block_budget=_get(s, "refinement", "block_budget", 0),
+        **{
+            name: float(
+                _get(s, "refinement", name, getattr(_DEFAULT_PARAMS, name))
+            )
+            for name in _WAVEFRONT_FIELDS
+        },
     )
     try:
         check_policy(params.refinement_policy)
@@ -135,6 +160,7 @@ def params_from_input(text: str) -> Tuple[SimulationParams, ExecutionConfig]:
         raise InputError(
             "<refinement> policy = block_budget needs block_budget >= 1"
         )
+    check_kernel_backend(_get(s, "platform", "kernel_backend", "numpy"))
     backend = str(_get(s, "platform", "backend", "gpu"))
     config = ExecutionConfig(
         backend=backend,
@@ -144,7 +170,6 @@ def params_from_input(text: str) -> Tuple[SimulationParams, ExecutionConfig]:
         num_nodes=_get(s, "platform", "num_nodes", 1),
         mode=str(_get(s, "platform", "mode", "modeled")),
         kernel_mode=str(_get(s, "platform", "kernel_mode", "packed")),
-        kernel_backend=str(_get(s, "platform", "kernel_backend", "numpy")),
         num_shards=_get(s, "platform", "num_shards", 1),
         checkpoint_every=_get(s, "checkpoint", "every", 0),
     )
@@ -186,15 +211,13 @@ def render_input(params: SimulationParams, config: ExecutionConfig) -> str:
         f"kernel_mode = {config.kernel_mode}",
         f"num_nodes = {config.num_nodes}",
     ]
-    # Emitted only when non-default so pre-registry decks render
-    # byte-identically (same convention as the <checkpoint> section).
-    if config.kernel_backend != "numpy":
+    # Optional keys are emitted only when non-default, so decks rendered
+    # before a key existed — and their cache keys — stay byte-identical.
+    if params.load_balance_every != _DEFAULT_PARAMS.load_balance_every:
         lines.insert(
-            lines.index(f"kernel_mode = {config.kernel_mode}") + 1,
-            f"kernel_backend = {config.kernel_backend}",
+            lines.index(f"derefine_count = {params.derefine_gap}") + 1,
+            f"load_balance_every = {params.load_balance_every}",
         )
-    # Same non-default-only convention: serial decks are byte-identical
-    # to decks rendered before sharding existed.
     if config.num_shards > 1:
         lines.insert(
             lines.index(f"kernel_mode = {config.kernel_mode}") + 1,
@@ -207,14 +230,20 @@ def render_input(params: SimulationParams, config: ExecutionConfig) -> str:
         ]
     else:
         lines.append(f"cpu_ranks = {config.cpu_ranks}")
-    # Emitted only when non-default so decks predating the policy
-    # registry render byte-identically (same convention as <checkpoint>).
-    if params.refinement_policy != "first_derivative" or params.block_budget:
+    wavefront = [
+        f"{name} = {getattr(params, name)}"
+        for name in _WAVEFRONT_FIELDS
+        if getattr(params, name) != getattr(_DEFAULT_PARAMS, name)
+    ]
+    if (
+        params.refinement_policy != _DEFAULT_PARAMS.refinement_policy
+        or params.block_budget
+        or wavefront
+    ):
         lines += ["", "<refinement>", f"policy = {params.refinement_policy}"]
         if params.block_budget:
             lines.append(f"block_budget = {params.block_budget}")
-    # Emitted only when enabled so decks without checkpointing render
-    # byte-identically to what they did before the section existed.
+        lines += wavefront
     if config.checkpoint_every > 0:
         lines += ["", "<checkpoint>", f"every = {config.checkpoint_every}"]
     return "\n".join(lines) + "\n"

@@ -33,8 +33,8 @@ Policies (mesh-wide flag collection on top of a criterion):
   hard cap, never exceeded.
 
 The registry (:data:`KNOWN_POLICIES`, :func:`build_policy`) names these for
-decks / ``repro.api`` / the CLI, with did-you-mean validation mirroring the
-kernel-backend registry.
+decks / ``repro.api`` / the CLI, with the same did-you-mean validation as
+every other ``repro.api`` choice.
 """
 
 from __future__ import annotations
@@ -330,11 +330,7 @@ class SphericalWavefrontTagger:
 
 @dataclass
 class TagReport:
-    """What one ``Refinement::Tag`` pass decided, plus observability counts.
-
-    Iterates as the legacy ``(refine, derefine, checked)`` 3-tuple so
-    existing call sites keep working.
-    """
+    """What one ``Refinement::Tag`` pass decided, plus observability counts."""
 
     refine: List[LogicalLocation]
     derefine: List[LogicalLocation]
@@ -348,11 +344,6 @@ class TagReport:
     #: Largest per-block indicator this pass (0.0 when the criterion
     #: exposes no indicator, e.g. a bare ``tag``-only tagger).
     indicator_max: float = 0.0
-
-    def __iter__(self):
-        yield self.refine
-        yield self.derefine
-        yield self.checked
 
 
 def _loc_key(loc: LogicalLocation) -> Tuple[int, int, int, int]:

@@ -21,8 +21,8 @@ from typing import Dict, List, Mapping, Optional
 from repro.observability.trace import Span, Trace
 
 #: Canonical document identity; see DESIGN §8 for the update policy.
-#: v2: ``meta`` gained ``kernel_backend`` — the effective engine the
-#: numeric packed kernels ran on (the backend-registry tentpole).
+#: v2: ``meta`` gained ``kernel_backend`` — the engine the numeric
+#: packed kernels ran on, the constant ``"numpy"`` since DESIGN §10.
 #: v3: ``meta`` gained ``num_shards`` (always) and, for sharded runs
 #: only, a ``shards`` section with the shard topology and per-shard
 #: stage wall-clock — the canonical document's sole nondeterministic

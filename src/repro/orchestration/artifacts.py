@@ -12,10 +12,10 @@ Schema (``schema_version`` 6; v2 added the ``metrics`` section — the
 :class:`repro.observability.MetricsRegistry` snapshot with counters,
 gauges, histograms and the per-cycle counter series; v3 added the
 *optional* ``resilience`` section, present only when a point resumed
-from a checkpoint or ran with a fault plan armed; v4 added backend
-identity — ``config.kernel_backend`` is the *requested* engine and the
-ok-document's top-level ``kernel_backend`` the *effective* one, which
-differ exactly when the run fell back to numpy; v5 added
+from a checkpoint or ran with a fault plan armed; v4 added
+``config.kernel_backend`` and the ok-document's top-level
+``kernel_backend``, both the constant ``"numpy"`` since numpy became
+the only kernel engine (DESIGN §10); v5 added
 ``config.num_shards`` plus the *optional* ``parallel`` section — shard
 topology and per-shard stage timings, present only for sharded runs.
 ``parallel.stage_seconds`` holds host wall-clock measured inside the
@@ -37,9 +37,10 @@ that now ride in ``metrics``, DESIGN §14)::
       "spec": {"deck": "...", "ncycles": N, "warmup": N},
       "params": {ndim, mesh_size, block_size, num_levels, num_scalars,
                  refinement_policy, block_budget},
-      "config": {backend, mode, kernel_mode, total_ranks, describe},
+      "config": {backend, mode, kernel_mode, kernel_backend, num_shards,
+                 total_ranks, describe},
       # status == "ok" only:
-      "kernel_backend": "<effective engine the numeric kernels ran on>",
+      "kernel_backend": "numpy",
       "fom": <zone-cycles/s>, "oom": bool, "cycles": N, "zone_cycles": N,
       "blocks": {"final": N, "max": N},
       "timings": {
@@ -117,7 +118,7 @@ def _spec_header(spec: "RunSpec") -> dict:
             "backend": c.backend,
             "mode": c.mode,
             "kernel_mode": c.kernel_mode,
-            "kernel_backend": c.kernel_backend,
+            "kernel_backend": "numpy",
             "num_shards": c.num_shards,
             "total_ranks": c.total_ranks,
             "describe": c.describe(),

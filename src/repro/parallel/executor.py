@@ -1,7 +1,8 @@
 """The shard executor: pack stages fanned out to worker processes.
 
 ``ShardedPackKernels`` implements the same five-stage interface as the
-packed backend engines (``calculate_fluxes`` / ``flux_divergence_and_update``
+packed engine, :class:`repro.solver.packed_kernels.PackedBurgersKernels`
+(``calculate_fluxes`` / ``flux_divergence_and_update``
 / ``fill_derived`` / ``save_base`` / ``estimate_timestep``), so the driver
 swaps it in transparently when ``ExecutionConfig.num_shards > 1``.  The
 split of responsibilities:
@@ -14,7 +15,7 @@ split of responsibilities:
   with no explicit transfer;
 * each **worker process** owns a fixed set of chunk-grid units (see
   ``repro.parallel.shards``) and executes the numeric stages over them
-  with its own instance of the configured kernel backend.
+  with its own instance of the packed engine.
 
 Barrier protocol: every stage is one message to each worker and one ack
 back; the parent blocks on all acks before returning, so stages never
@@ -43,6 +44,8 @@ import numpy as np
 
 from repro.parallel.shards import ShardPack, plan_shards
 from repro.parallel.shm import SharedSlab, attach_slab, create_slab
+from repro.solver.burgers import BurgersPackage
+from repro.solver.packed_kernels import PackedBurgersKernels
 
 #: Ceiling on one stage barrier; a worker that exceeds it is declared
 #: wedged and surfaced as a ShardError (the no-hang guarantee).
@@ -95,12 +98,9 @@ def _worker_loop(conn, shard_id: int) -> None:
                 conn.send(("ok", None, 0.0))
                 break
             if kind == "init":
-                _, params, backend_name = msg
-                from repro.kernels.backends import resolve_backend
-                from repro.solver.burgers import BurgersPackage
-
+                _, params = msg
                 pkg = BurgersPackage(params.ndim, params.burgers_config())
-                kernels = resolve_backend(backend_name).create_kernels(pkg)
+                kernels = PackedBurgersKernels(pkg)
                 conn.send(("ok", None, 0.0))
             elif kind == "rebuild":
                 _, segs, meta = msg
@@ -173,9 +173,6 @@ class ShardedPackKernels:
     params:
         The run's :class:`SimulationParams` (picklable) — each worker
         rebuilds the Burgers package from it.
-    backend_name:
-        *Effective* kernel backend name (post registry resolution), so
-        workers construct the identical engine without re-warning.
     num_shards:
         Worker count; every worker is one OS process under the ``fork``
         start method (or one thread with ``transport="thread"``, the
@@ -188,7 +185,6 @@ class ShardedPackKernels:
     def __init__(
         self,
         params,
-        backend_name: str,
         num_shards: int,
         injector_provider: Optional[Callable[[], object]] = None,
         cycle_provider: Optional[Callable[[], int]] = None,
@@ -204,7 +200,6 @@ class ShardedPackKernels:
                 "use transport='thread' on this platform"
             )
         self.params = params
-        self.backend_name = backend_name
         self.num_shards = num_shards
         self.transport = transport
         self.stage_timeout_s = STAGE_TIMEOUT_S
@@ -285,7 +280,7 @@ class ShardedPackKernels:
                     )
                     thread.start()
                     proxy = _WorkerProxy(shard, parent_conn, None, lambda: None)
-                self._send(proxy, ("init", self.params, self.backend_name), "init")
+                self._send(proxy, ("init", self.params), "init")
                 workers.append(proxy)
             self._collect_from(workers, "init")
             self._workers = workers

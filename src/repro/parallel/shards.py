@@ -10,8 +10,8 @@ whose floating-point result depends on how the block axis is batched
 chunk boundaries hands every worker whole serial chunks, so the GEMM
 batch shapes — and therefore every rounding decision — are identical to
 the serial sweep.  All other stages (divergence/update, FillDerived,
-save-base, the timestep reduce, and the numba per-pencil sweep) are
-elementwise or per-block and bitwise-safe under *any* block split.
+save-base and the timestep reduce) are elementwise or per-block and
+bitwise-safe under *any* block split.
 
 Units are assigned to shards by LPT (``mesh.loadbalance.partition_lpt``)
 over per-unit costs, giving the makespan bound
@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.backends.numpy_backend import PACK_CHUNK_CELLS
 from repro.mesh.loadbalance import partition_lpt
+from repro.solver.packed_kernels import PACK_CHUNK_CELLS
 
 Unit = Tuple[int, int]
 
@@ -98,8 +98,8 @@ class ShardPack:
     Implements exactly the :class:`repro.solver.packs.MeshBlockPack`
     surface the packed kernels consume — ``field``/``flux_data``/
     ``dx_array``/``component_slice``/``blocks`` — over ``[lo, hi)`` of
-    the shared arrays, so every backend's kernels run unmodified inside
-    a worker process.
+    the shared arrays, so the packed kernels run unmodified inside a
+    worker process.
     """
 
     def __init__(

@@ -176,7 +176,8 @@ def restore_driver(
     from repro.comm.bvals import BoundaryExchange
     from repro.comm.flux_correction import FluxCorrection
     from repro.driver.driver import ParthenonDriver
-    from repro.kernels.backends import resolve_backend
+    from repro.solver.packed_kernels import PackedBurgersKernels
+
     if payload.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise CheckpointError(
             f"checkpoint schema_version {payload.get('schema_version')!r}; "
@@ -190,19 +191,12 @@ def restore_driver(
     driver.bx = BoundaryExchange(driver.mesh, driver.mpi, metrics=driver.metrics)
     driver.fc = FluxCorrection(driver.mesh, driver.mpi)
     driver.fc.set_links(driver.bx.links)
-    # Recreate the kernel engine against the *restored* package via the
-    # registry, re-resolving availability in this process (the effective
-    # backend may differ from the checkpointing process's).  Sharded runs
-    # keep the executor ``__init__`` already wired (its provider closures
-    # read the driver's injector/cycle attributes at call time, so the
-    # restored state is picked up automatically).
-    if driver._shard_exec is None:
-        driver._packed = None
-        driver.kernel_backend = "numpy"
-        if driver.numeric and driver.config.kernel_mode == "packed":
-            backend = resolve_backend(driver.config.kernel_backend)
-            driver.kernel_backend = backend.name
-            driver._packed = backend.create_kernels(driver.pkg)
+    # Recreate the kernel engine against the *restored* package.  Sharded
+    # runs keep the executor ``__init__`` already wired (its provider
+    # closures read the driver's injector/cycle attributes at call time,
+    # so the restored state is picked up automatically).
+    if driver._packed is not None and driver._shard_exec is None:
+        driver._packed = PackedBurgersKernels(driver.pkg)
     driver._pack = None
     if driver.use_packed and payload.get("pack_valid"):
         # Reconstruct the pack the blocks aliased at save time — through

@@ -18,13 +18,13 @@ import numpy as np
 from repro.comm.bvals import BoundaryExchange
 from repro.comm.flux_correction import FluxCorrection
 from repro.mesh.mesh import Mesh
-from repro.kernels.backends.numpy_backend import PackedBurgersKernels
 from repro.solver.burgers import (
     BASE,
     BurgersPackage,
     CONSERVED,
     DERIVED,
 )
+from repro.solver.packed_kernels import PackedBurgersKernels
 from repro.solver.packs import MeshBlockPack, build_numeric_pack
 
 #: Per-stage (gam0, gam1, beta) weights of Parthenon's rk2:

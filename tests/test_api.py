@@ -1,5 +1,6 @@
 """The repro.api surface: RunSpec identity, Simulation facade, builders."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -17,7 +18,27 @@ from repro.api import (
 )
 from repro.core.characterize import characterize
 from repro.driver.execution import ExecutionConfig, OptimizationFlags
+from repro.driver.input import InputError, params_from_input
 from repro.driver.params import SimulationParams
+
+#: A valid non-default value for every numeric SimulationParams field.
+NUMERIC_PARAM_CHANGES = {
+    "ndim": 2,
+    "mesh_size": 64,
+    "block_size": 8,
+    "num_levels": 2,
+    "num_scalars": 2,
+    "cfl": 0.3,
+    "refine_every": 2,
+    "derefine_gap": 5,
+    "load_balance_every": 2,
+    "refine_tol": 0.2,
+    "derefine_tol": 0.05,
+    "block_budget": 7,
+    "wavefront_speed": 0.02,
+    "wavefront_width": 0.02,
+    "wavefront_r0": 0.2,
+}
 
 
 def small_spec(**overrides) -> RunSpec:
@@ -57,6 +78,25 @@ class TestRunSpecRoundTrips:
         )
         clone = RunSpec.from_deck(spec.to_deck())
         assert clone.config == spec.config
+        assert clone.cache_key() == spec.cache_key()
+
+    def test_changes_cover_every_numeric_param(self):
+        numeric = {
+            f.name
+            for f in dataclasses.fields(SimulationParams)
+            if type(f.default) in (int, float)
+        }
+        assert set(NUMERIC_PARAM_CHANGES) == numeric
+
+    @pytest.mark.parametrize("name", sorted(NUMERIC_PARAM_CHANGES))
+    def test_numeric_param_survives_deck(self, name):
+        """Every params field must survive the deck, or a spec journaled
+        in deck form comes back under a different cache key."""
+        spec = RunSpec(
+            params=SimulationParams(**{name: NUMERIC_PARAM_CHANGES[name]})
+        )
+        clone = RunSpec.from_deck(spec.to_deck())
+        assert clone.params == spec.params
         assert clone.cache_key() == spec.cache_key()
 
     def test_from_file(self, tmp_path):
@@ -261,6 +301,32 @@ class TestJsonWire:
         doc["ncycles"] = "three"
         with pytest.raises(ConfigError):
             RunSpec.from_json(doc)
+
+
+def test_removed_kernel_backend_only_accepted_as_numpy():
+    """Old decks, JSON specs and journals may still name an engine:
+    ``numpy`` (the only one) loads unchanged, any other name fails with
+    an error that says the engines were removed."""
+    deck = small_spec().to_deck().replace(
+        "kernel_mode = packed\n",
+        "kernel_mode = packed\nkernel_backend = numpy\n",
+    )
+    doc = small_spec().to_json()
+    doc["config"]["kernel_backend"] = "numpy"
+    assert build_execution_config(kernel_backend="numpy") == ExecutionConfig()
+    assert RunSpec.from_json(doc) == small_spec()
+    assert RunSpec.from_deck(deck) == small_spec()
+    for engine in ("jit", "gpu"):
+        with pytest.raises(ConfigError, match="removed"):
+            build_execution_config(kernel_backend=engine)
+        doc["config"]["kernel_backend"] = engine
+        with pytest.raises(ConfigError, match="removed"):
+            RunSpec.from_json(doc)
+        bad_deck = deck.replace("= numpy", f"= {engine}")
+        with pytest.raises(InputError, match="removed"):
+            params_from_input(bad_deck)
+        with pytest.raises(ConfigError, match="removed"):
+            RunSpec.from_deck(bad_deck)
 
 
 class TestProgress:

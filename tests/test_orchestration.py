@@ -3,6 +3,7 @@
 import gc
 import json
 import signal
+import sys
 import time
 
 import pytest
@@ -196,15 +197,20 @@ class TestDeadline:
         while time.perf_counter() < end:
             pass
 
-    @pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
     def test_timeout_swallowed_in_gc_callback_fires_again(self):
         """A PointTimeout raised inside a gc callback is only printed as
         unraisable; the timer must fire again and stop the body."""
+        swallowed = []
 
         def slow_callback(phase, info):
             if phase == "start":
                 self._spin(0.05)
 
+        # Record unraisables in place of pytest's hook: that one formats a
+        # traceback, slowly enough that the next 10 ms alarm can land in
+        # it, and pytest then fails the test for its own hook's error.
+        previous_hook = sys.unraisablehook
+        sys.unraisablehook = lambda info: swallowed.append(info.exc_type)
         gc.callbacks.append(slow_callback)
         try:
             with pytest.raises(PointTimeout):
@@ -213,6 +219,8 @@ class TestDeadline:
                     self._spin(0.5)
         finally:
             gc.callbacks.remove(slow_callback)
+            sys.unraisablehook = previous_hook
+        assert PointTimeout in swallowed
 
     def test_handler_restored_after_body(self):
         previous = signal.getsignal(signal.SIGALRM)

@@ -149,12 +149,12 @@ class TestPolicy:
         mesh.remesh(refine=[mesh.block_list[0].lloc], derefine=[])
         for blk in mesh.block_list:
             blk.fields["q"][...] = 1.0
-        refine, derefine, checked = policy.collect_flags(mesh, cycle=0)
-        assert checked == mesh.num_blocks
-        assert derefine == []  # all blocks too young
+        report = policy.collect_flags(mesh, cycle=0)
+        assert report.checked == mesh.num_blocks
+        assert report.derefine == []  # all blocks too young
 
-        refine, derefine, _ = policy.collect_flags(mesh, cycle=10)
-        assert len(derefine) == 4  # the four level-1 children may merge
+        report = policy.collect_flags(mesh, cycle=10)
+        assert len(report.derefine) == 4  # the four level-1 children may merge
 
     def test_level0_blocks_never_derefine(self):
         mesh = make_mesh()
@@ -163,8 +163,7 @@ class TestPolicy:
         policy = RefinementPolicy(
             FirstDerivativeCriterion("q"), derefine_gap=0
         )
-        _, derefine, _ = policy.collect_flags(mesh, cycle=100)
-        assert derefine == []
+        assert policy.collect_flags(mesh, cycle=100).derefine == []
 
     def test_refine_not_requested_beyond_max_level(self):
         mesh = make_mesh(levels=1)
@@ -172,8 +171,7 @@ class TestPolicy:
         blk.fields["q"][...] = 1.0
         blk.fields["q"][:, :, :, 6:] = 100.0
         policy = RefinementPolicy(FirstDerivativeCriterion("q"))
-        refine, _, _ = policy.collect_flags(mesh, cycle=0)
-        assert refine == []
+        assert policy.collect_flags(mesh, cycle=0).refine == []
 
     def test_forget_stale_drops_dead_uids(self):
         mesh = make_mesh()

@@ -248,13 +248,6 @@ class TestWavefrontIndicator:
 
 
 class TestTagReport:
-    def test_legacy_tuple_unpacking(self):
-        mesh = make_mesh(allocate=False)
-        policy = RefinementPolicy(UidIndicatorTagger())
-        refine, derefine, checked = policy.collect_flags(mesh, cycle=0)
-        assert checked == mesh.num_blocks
-        assert isinstance(refine, list) and isinstance(derefine, list)
-
     def test_counts_and_indicator(self):
         mesh = make_mesh(allocate=False)
         tagger = UidIndicatorTagger()

@@ -6,6 +6,7 @@ sockets via :class:`~repro.service.ServerThread` (thread executor — the
 keeps Python 3.12's fork-with-threads warning out of the suite).
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -41,8 +42,6 @@ CONFIG = ExecutionConfig(backend="gpu", num_gpus=1, ranks_per_gpu=1)
 
 
 def spec_for(mesh_size: int = 32, **overrides) -> RunSpec:
-    import dataclasses
-
     params = dataclasses.replace(BASE, mesh_size=mesh_size)
     fields = dict(params=params, config=CONFIG, ncycles=2, warmup=1)
     fields.update(overrides)
@@ -315,6 +314,15 @@ class TestServiceEndToEnd:
             stats = client.stats().json["stats"]
             assert stats["cache_hits"] == 1
             assert stats["executed"] == 0
+
+    def test_json_spec_serves_result_under_its_id(self, tmp_path):
+        """A JSON spec is journaled in deck form; a params field the deck
+        dropped would finish the job under a different cache key."""
+        spec = spec_for(params=dataclasses.replace(BASE, wavefront_r0=0.2))
+        with ServerThread(tmp_path, workers=1) as client:
+            assert client.submit(spec.to_json()).json["id"] == spec.cache_key()
+            assert client.wait(spec.cache_key()).json["status"] == "done"
+            assert client.result(spec.cache_key()).status == 200
 
     def test_invalid_spec_is_400(self, tmp_path):
         with ServerThread(tmp_path, workers=1) as client:

@@ -15,12 +15,12 @@ import pytest
 from repro.comm.bvals import BoundaryExchange
 from repro.comm.mpi import SimMPI
 from repro.driver.params import SimulationParams
-from repro.kernels.backends import get_backend
 from repro.mesh.mesh import Mesh
 from repro.parallel import ShardError, ShardedPackKernels
 from repro.parallel.shm import create_slab
 from repro.solver.burgers import BASE, BurgersPackage, CONSERVED, DERIVED
 from repro.solver.initial_conditions import gaussian_blob
+from repro.solver.packed_kernels import PackedBurgersKernels
 from repro.solver.packs import build_numeric_pack
 
 
@@ -46,9 +46,7 @@ def _build_pack(mesh, allocator=None):
 @pytest.fixture
 def bound_executor():
     params, pkg, mesh = _setup()
-    executor = ShardedPackKernels(
-        params, "numpy", num_shards=2, transport="thread"
-    )
+    executor = ShardedPackKernels(params, num_shards=2, transport="thread")
     pack = _build_pack(mesh, allocator=executor.allocator)
     executor.rebind(pack)
     yield executor, pack, mesh
@@ -59,7 +57,7 @@ class TestThreadTransportStages:
     def test_all_stages_bitwise_vs_serial(self, bound_executor):
         executor, pack, mesh = bound_executor
         s_params, s_pkg, s_mesh = _setup()
-        serial = get_backend("numpy").create_kernels(s_pkg)
+        serial = PackedBurgersKernels(s_pkg)
         s_pack = _build_pack(s_mesh)
 
         executor.save_base(pack)
@@ -151,9 +149,9 @@ class TestLifecycle:
     def test_constructor_validation(self):
         params = SimulationParams(ndim=2, mesh_size=16, block_size=8)
         with pytest.raises(ValueError, match="num_shards"):
-            ShardedPackKernels(params, "numpy", num_shards=0)
+            ShardedPackKernels(params, num_shards=0)
         with pytest.raises(ValueError, match="transport"):
-            ShardedPackKernels(params, "numpy", 2, transport="carrier-pigeon")
+            ShardedPackKernels(params, 2, transport="carrier-pigeon")
 
     def test_shutdown_is_idempotent_and_final(self, bound_executor):
         executor, pack, _mesh = bound_executor

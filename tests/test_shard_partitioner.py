@@ -18,9 +18,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels.backends.numpy_backend import PACK_CHUNK_CELLS
 from repro.mesh.loadbalance import partition_lpt
 from repro.parallel import compute_units, plan_shards
+from repro.solver.packed_kernels import PACK_CHUNK_CELLS
 
 #: Positive, finite, not-absurdly-large block costs (cost models emit
 #: cells or seconds; both are bounded in practice).
